@@ -22,6 +22,7 @@
 //!   submitting events.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use uba_simnet::{Envelope, NodeId, Outgoing, Protocol, Recoverable, RoundContext};
 
@@ -125,7 +126,10 @@ pub struct TotalOrderNode<E: Opinion> {
     /// part of the join handshake).
     announced_presence: bool,
     /// Per-round consensus instances, keyed by the round that created them.
-    instances: BTreeMap<u64, RoundInstance<E>>,
+    /// Each sits behind an `Arc` so a snapshot shares it with the live node:
+    /// a decided instance is never mutated again, and an undecided one is
+    /// copied (once) by `Arc::make_mut` on its next step.
+    instances: BTreeMap<u64, Arc<RoundInstance<E>>>,
     /// The finalised log.
     chain: Vec<OrderedEvent<E>>,
     /// Largest round up to which every round is final and appended to the chain.
@@ -250,6 +254,9 @@ impl<E: Opinion> TotalOrderNode<E> {
 }
 
 impl<E: Opinion + Send + Sync + 'static> Recoverable for TotalOrderNode<E> {
+    /// A clone that shares every instance with the live node (copy-on-write):
+    /// its cost is the node's own fields plus one reference count per
+    /// instance, not the instances' consensus state.
     fn snapshot(&self) -> Self {
         self.clone()
     }
@@ -377,12 +384,12 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
             let consensus = ParallelConsensus::new(self.id, event_inputs);
             self.instances.insert(
                 r,
-                RoundInstance {
+                Arc::new(RoundInstance {
                     consensus,
                     members: self.members.clone(),
                     local_round: 0,
                     decided: None,
-                },
+                }),
             );
         }
 
@@ -391,6 +398,7 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
             if instance.decided.is_some() {
                 continue;
             }
+            let instance = Arc::make_mut(instance);
             instance.local_round += 1;
             let inner_ctx = RoundContext::new(instance.local_round);
             let inbox: Vec<Envelope<ParallelMessage<E>>> = instance_inbox
@@ -454,7 +462,8 @@ impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
 mod tests {
     use super::*;
     use uba_simnet::adversary::SilentAdversary;
-    use uba_simnet::{IdSpace, SyncEngine};
+    use uba_simnet::shared::payload_digest;
+    use uba_simnet::{Destination, IdSpace, Shared, SyncEngine};
 
     type Node = TotalOrderNode<u64>;
 
@@ -495,6 +504,91 @@ mod tests {
         let shortest = chains.iter().map(|c| c.len()).min().unwrap();
         let events: BTreeSet<u64> = chains[0][..shortest].iter().map(|e| e.event).collect();
         assert_eq!(events.len(), shortest, "no event is ordered twice");
+    }
+
+    type Inbox = Vec<Envelope<TotalOrderMessage<u64>>>;
+
+    /// Steps every node once over its inbox and refills the inboxes with what
+    /// the round sent (broadcasts include the sender). Returns node 0's inbox
+    /// and the digests of what it produced.
+    fn drive_round(nodes: &mut [Node], inboxes: &mut Vec<Inbox>, round: u64) -> (Inbox, Vec<u64>) {
+        let ids: Vec<NodeId> = nodes.iter().map(|n| n.id()).collect();
+        let consumed = std::mem::replace(inboxes, vec![Vec::new(); nodes.len()]);
+        let mut sent = Vec::new();
+        for (i, node) in nodes.iter_mut().enumerate() {
+            let out = node.step(&RoundContext::new(round), &consumed[i]);
+            if i == 0 {
+                sent = out.iter().map(|m| payload_digest(&m.payload)).collect();
+            }
+            for message in out {
+                let payload = Shared::new(message.payload);
+                for (j, inbox) in inboxes.iter_mut().enumerate() {
+                    if message.dest == Destination::Broadcast
+                        || message.dest == Destination::Unicast(ids[j])
+                    {
+                        inbox.push(Envelope::new(ids[i], payload.clone()));
+                    }
+                }
+            }
+        }
+        (consumed.into_iter().next().unwrap(), sent)
+    }
+
+    #[test]
+    fn a_snapshot_is_isolated_from_the_live_node() {
+        let mut nodes = founders(4, 6);
+        let mut inboxes = vec![Vec::new(); nodes.len()];
+        for round in 1..=30u64 {
+            for (i, node) in nodes.iter_mut().enumerate() {
+                node.submit_event(round * 10 + i as u64);
+            }
+            drive_round(&mut nodes, &mut inboxes, round);
+        }
+        let snapshot = nodes[0].snapshot();
+        let (round, finalized, chain) = (
+            snapshot.round(),
+            snapshot.finalized_upto(),
+            snapshot.chain().to_vec(),
+        );
+        // The snapshot shares decided-but-unfinalised instances with the live
+        // node; the steps below finalise them on the live side.
+        assert!(
+            nodes[0]
+                .instances
+                .iter()
+                .any(|(r, instance)| instance.decided.is_some()
+                    && Arc::ptr_eq(instance, &snapshot.instances[r])),
+            "the snapshot must share decided instances for this test to bite"
+        );
+
+        // Step the live node on; events reach node 0 only through its inbox.
+        let mut recorded = Vec::new();
+        for round in 31..=50u64 {
+            for (i, node) in nodes.iter_mut().enumerate().skip(1) {
+                node.submit_event(round * 10 + i as u64);
+            }
+            recorded.push((round, drive_round(&mut nodes, &mut inboxes, round)));
+        }
+        assert!(nodes[0].finalized_upto() > finalized + 10);
+        assert!(nodes[0].chain().len() > chain.len());
+        assert_eq!(snapshot.round(), round);
+        assert_eq!(snapshot.finalized_upto(), finalized);
+        assert_eq!(snapshot.chain(), &chain[..]);
+
+        // Stepped over the same inboxes, the snapshot behaves exactly as the
+        // live node did.
+        let mut replica = snapshot;
+        for (round, (inbox, sent)) in recorded {
+            let produced: Vec<u64> = replica
+                .step(&RoundContext::new(round), &inbox)
+                .iter()
+                .map(|m| payload_digest(&m.payload))
+                .collect();
+            assert_eq!(produced, sent, "round {round}");
+        }
+        assert_eq!(replica.round(), nodes[0].round());
+        assert_eq!(replica.finalized_upto(), nodes[0].finalized_upto());
+        assert_eq!(replica.chain(), nodes[0].chain());
     }
 
     #[test]

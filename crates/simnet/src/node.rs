@@ -114,6 +114,12 @@ pub trait Protocol {
 /// ```
 pub trait Recoverable: Protocol + Sized {
     /// A faithful copy of the node's current protocol state.
+    ///
+    /// The copy may share state the node never mutates again (an `Arc` around
+    /// a decided instance, say, copied on write if it ever is stepped), which
+    /// keeps compaction cheap for nodes with large, mostly settled state. It
+    /// must still be observationally independent of the live node: stepping
+    /// either one never changes what the other reports or produces.
     fn snapshot(&self) -> Self;
 
     /// Reconstructs a node from a snapshot. The default is the identity —

@@ -2,10 +2,14 @@
 //! log faults, and the [`RecoveryManager`] both engines drive it through.
 //!
 //! Every protocol-visible event of a correct node's round is logged *before* it
-//! becomes visible to the network: the inbox it consumed ([`WalRecord::Consumed`]),
-//! the digests of the messages it produced ([`WalRecord::Sent`]) and the round
-//! commit marker ([`WalRecord::Committed`]). The log is in-memory but models
-//! durable storage faithfully:
+//! becomes visible to the network: the inbox it consumed, as one
+//! [`WalRecord::Consumed`] record per non-empty inbox, the digests of the
+//! messages it produced ([`WalRecord::Sent`]) and the round commit marker
+//! ([`WalRecord::Committed`]). Sizes are counted in *entries* — one per
+//! consumed envelope, sent digest and commit — so [`Wal::len`], the
+//! compaction trigger and the replay audit do not depend on how envelopes are
+//! grouped into records. The log is in-memory but models durable storage
+//! faithfully:
 //!
 //! * an **fsync watermark** separates the durable prefix from the volatile
 //!   suffix ([`Wal::fsync`] advances it; [`WalConfig::sync_every`] sets the
@@ -18,7 +22,12 @@
 //!   [`WalFault::TornTail`] mangles the last unsynced record,
 //!   [`WalFault::LoseUnsynced`] drops the whole suffix, and
 //!   [`WalFault::Corrupt`] mangles the first unsynced record so the replay
-//!   truncates everything from there.
+//!   truncates everything from there;
+//! * once a fully durable log holds [`WalConfig::compact_after`] entries, the
+//!   round commit **compacts** it onto a fresh base snapshot. Snapshots go
+//!   through the protocol's `Recoverable::snapshot`, which may share state the
+//!   node never mutates again (copy-on-write), so compaction costs what
+//!   changed since the last snapshot, not the node's whole state.
 //!
 //! Replay ([`Wal::replay`]) groups the valid record prefix into committed
 //! rounds; uncommitted trailing records are dropped (a crash mid-round never
@@ -39,7 +48,7 @@ use crate::error::SimError;
 use crate::id::NodeId;
 use crate::message::Envelope;
 use crate::node::{Protocol, RoundContext};
-use crate::shared::{payload_digest, Shared};
+use crate::shared::payload_digest;
 
 /// An injectable fault applied to a log at restart. Faults only ever damage
 /// the *unsynced* suffix — the durable prefix of a write-ahead log survives any
@@ -72,7 +81,7 @@ pub struct WalConfig {
     /// every round, which makes every [`WalFault`] a no-op; fault-injection
     /// tests raise it to open an unsynced suffix.
     pub sync_every: u64,
-    /// Once a fully durable log holds at least this many records, the round
+    /// Once a fully durable log holds at least this many entries, the round
     /// commit replaces it with a fresh snapshot base — bounding log growth on
     /// long-horizon (soak) runs.
     pub compact_after: usize,
@@ -90,15 +99,15 @@ impl Default for WalConfig {
 /// One protocol-visible event in a node's write-ahead log.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord<P> {
-    /// An inbox message consumed at the start of a round (the payload handle is
-    /// shared with the live delivery — logging is allocation-free).
+    /// The non-empty inbox consumed at the start of a round, in delivery
+    /// order. The envelopes hold payload handles shared with the live
+    /// delivery, so logging copies no payload. The record counts as one log
+    /// entry per envelope (see [`Wal::len`]).
     Consumed {
-        /// The round that consumed the message.
+        /// The round that consumed the inbox.
         round: u64,
-        /// The authenticated sender.
-        from: NodeId,
-        /// The consumed payload (a shared handle, not a copy).
-        payload: Shared<P>,
+        /// The consumed envelopes (authenticated sender plus shared payload).
+        inbox: Vec<Envelope<P>>,
     },
     /// The digest of one message produced in a round, in production order.
     Sent {
@@ -123,6 +132,16 @@ impl<P> WalRecord<P> {
             | WalRecord::Committed { round } => round,
         }
     }
+
+    /// The number of log entries the record stands for: one per consumed
+    /// envelope, one for a sent digest or a commit marker. [`Wal::len`],
+    /// the compaction trigger and [`ReplayLog::dropped_records`] count these.
+    fn entries(&self) -> usize {
+        match self {
+            WalRecord::Consumed { inbox, .. } => inbox.len(),
+            WalRecord::Sent { .. } | WalRecord::Committed { .. } => 1,
+        }
+    }
 }
 
 /// A record plus the checksum sealed over it at append time.
@@ -134,19 +153,19 @@ struct SealedRecord<P> {
 
 /// The checksum replay verifies: a fast deterministic hash over the record's
 /// variant tag and fields (payloads contribute their cached digest, so sealing
-/// never re-hashes payload bytes).
+/// never re-hashes payload bytes). A `Consumed` record is sealed by one
+/// checksum over all of its `(sender, payload digest)` pairs.
 fn seal_checksum<P>(record: &WalRecord<P>) -> u64 {
     let mut hasher = FastHasher::default();
     match record {
-        WalRecord::Consumed {
-            round,
-            from,
-            payload,
-        } => {
+        WalRecord::Consumed { round, inbox } => {
             hasher.write_u64(1);
             hasher.write_u64(*round);
-            hasher.write_u64(from.raw());
-            hasher.write_u64(payload.digest());
+            hasher.write_u64(inbox.len() as u64);
+            for envelope in inbox {
+                hasher.write_u64(envelope.from.raw());
+                hasher.write_u64(envelope.payload.digest());
+            }
         }
         WalRecord::Sent { round, digest } => {
             hasher.write_u64(2);
@@ -167,6 +186,10 @@ pub struct Wal<P> {
     records: Vec<SealedRecord<P>>,
     /// Fsync watermark: `records[..durable]` survive any crash.
     durable: usize,
+    /// Log entries (see [`WalRecord::entries`]) in `records`.
+    entries: usize,
+    /// Log entries in `records[..durable]`.
+    durable_entries: usize,
     /// Rounds already folded into the base snapshot; replay resumes after it.
     base_round: u64,
     /// The round currently being logged (between `begin_round` and `commit`).
@@ -182,6 +205,8 @@ impl<P> Wal<P> {
         Wal {
             records: Vec::new(),
             durable: 0,
+            entries: 0,
+            durable_entries: 0,
             base_round,
             open_round: None,
             commits_since_sync: 0,
@@ -194,9 +219,10 @@ impl<P> Wal<P> {
         self.base_round
     }
 
-    /// Number of records currently in the log.
+    /// Number of entries currently in the log: one per consumed envelope,
+    /// sent digest and commit marker.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.entries
     }
 
     /// Whether the log holds no records.
@@ -204,9 +230,9 @@ impl<P> Wal<P> {
         self.records.is_empty()
     }
 
-    /// Number of records below the fsync watermark.
+    /// Number of entries below the fsync watermark.
     pub fn durable_len(&self) -> usize {
-        self.durable
+        self.durable_entries
     }
 
     /// The round currently being logged, if a step is in progress.
@@ -216,6 +242,7 @@ impl<P> Wal<P> {
 
     fn append(&mut self, record: WalRecord<P>) {
         let checksum = seal_checksum(&record);
+        self.entries += record.entries();
         self.records.push(SealedRecord { record, checksum });
     }
 
@@ -225,13 +252,16 @@ impl<P> Wal<P> {
         self.open_round = Some(round);
     }
 
-    /// Logs one consumed inbox message (write-ahead: called before the node
-    /// steps). The handle is cloned, never the payload.
-    pub fn log_consumed(&mut self, round: u64, from: NodeId, payload: Shared<P>) {
+    /// Logs the inbox a round consumes as one record (write-ahead: called
+    /// before the node steps). The handles are cloned, never the payloads.
+    /// An empty inbox appends nothing.
+    pub fn log_consumed(&mut self, round: u64, inbox: &[Envelope<P>]) {
+        if inbox.is_empty() {
+            return;
+        }
         self.append(WalRecord::Consumed {
             round,
-            from,
-            payload,
+            inbox: inbox.to_vec(),
         });
     }
 
@@ -257,6 +287,7 @@ impl<P> Wal<P> {
     /// Advances the fsync watermark over every record appended so far.
     pub fn fsync(&mut self) {
         self.durable = self.records.len();
+        self.durable_entries = self.entries;
         self.commits_since_sync = 0;
     }
 
@@ -270,6 +301,8 @@ impl<P> Wal<P> {
     pub fn compact(&mut self, base_round: u64) {
         self.records.clear();
         self.durable = 0;
+        self.entries = 0;
+        self.durable_entries = 0;
         self.base_round = base_round;
         self.open_round = None;
         self.commits_since_sync = 0;
@@ -279,6 +312,7 @@ impl<P> Wal<P> {
     /// volatile buffers; also the effect of [`WalFault::LoseUnsynced`]).
     pub fn truncate_to_durable(&mut self) {
         self.records.truncate(self.durable);
+        self.entries = self.durable_entries;
         self.open_round = None;
     }
 
@@ -310,30 +344,23 @@ impl<P> Wal<P> {
     pub fn replay(&self) -> ReplayLog<P> {
         let mut rounds: Vec<ReplayRound<P>> = Vec::new();
         let mut pending: Option<ReplayRound<P>> = None;
-        let mut pending_records = 0usize;
-        let mut valid = 0usize;
+        let mut pending_entries = 0usize;
+        let mut valid_entries = 0usize;
         for sealed in &self.records {
             if seal_checksum(&sealed.record) != sealed.checksum {
                 break;
             }
-            valid += 1;
+            valid_entries += sealed.record.entries();
             match &sealed.record {
-                WalRecord::Consumed {
-                    round,
-                    from,
-                    payload,
-                } => {
-                    pending_records += 1;
+                WalRecord::Consumed { round, inbox } => {
+                    pending_entries += inbox.len();
                     pending
                         .get_or_insert_with(|| ReplayRound::empty(*round))
                         .inbox
-                        .push(Envelope {
-                            from: *from,
-                            payload: payload.clone(),
-                        });
+                        .extend_from_slice(inbox);
                 }
                 WalRecord::Sent { round, digest } => {
-                    pending_records += 1;
+                    pending_entries += 1;
                     pending
                         .get_or_insert_with(|| ReplayRound::empty(*round))
                         .sent
@@ -342,12 +369,12 @@ impl<P> Wal<P> {
                 WalRecord::Committed { round } => {
                     let round_entry = pending.take().unwrap_or_else(|| ReplayRound::empty(*round));
                     rounds.push(round_entry);
-                    pending_records = 0;
+                    pending_entries = 0;
                 }
             }
         }
         // Checksum-invalid records and the uncommitted tail never happened.
-        let dropped_records = (self.records.len() - valid) + pending_records;
+        let dropped_records = (self.entries - valid_entries) + pending_entries;
         let consumed_monotone = rounds
             .iter()
             .zip(std::iter::once(self.base_round).chain(rounds.iter().map(|r| r.round)))
@@ -389,7 +416,7 @@ pub struct ReplayLog<P> {
     pub base_round: u64,
     /// The committed rounds, in log order.
     pub rounds: Vec<ReplayRound<P>>,
-    /// Records dropped by checksum truncation or as an uncommitted tail.
+    /// Entries dropped by checksum truncation or as an uncommitted tail.
     pub dropped_records: usize,
     /// Whether the committed round numbers are strictly increasing starting
     /// above the base — the no-double-consumed-input witness.
@@ -416,7 +443,7 @@ pub struct RestartRecord {
     /// Replayed rounds whose re-produced message digests differ from the
     /// durable `Sent` records — cross-restart equivocation witnesses.
     pub send_conflicts: u64,
-    /// Records dropped by checksum truncation or as an uncommitted tail.
+    /// Entries dropped by checksum truncation or as an uncommitted tail.
     pub dropped_records: u64,
     /// Whether the replayed rounds were strictly increasing (no input batch
     /// consumed twice).
@@ -506,9 +533,7 @@ impl<N: Protocol> RecoveryManager<N> {
             .get_mut(&node.id())
             .expect("ensure_logged inserted the log");
         wal.begin_round(round);
-        for envelope in inbox {
-            wal.log_consumed(round, envelope.from, envelope.payload.clone());
-        }
+        wal.log_consumed(round, inbox);
     }
 
     /// Per-traffic-item hook: logs one produced message digest against the
@@ -628,7 +653,7 @@ impl<N: Protocol> RecoveryManager<N> {
         &self.restarts
     }
 
-    /// Total records across all live logs — the WAL component of the soak
+    /// Total entries across all live logs — the WAL component of the soak
     /// driver's memory proxy.
     pub fn wal_entries(&self) -> usize {
         self.wals.values().map(Wal::len).sum()
@@ -641,7 +666,7 @@ mod tests {
     use crate::message::Outgoing;
 
     fn consumed(wal: &mut Wal<u64>, round: u64, from: u64, payload: u64) {
-        wal.log_consumed(round, NodeId::new(from), Shared::new(payload));
+        wal.log_consumed(round, &[Envelope::new(NodeId::new(from), payload)]);
     }
 
     /// Logs `rounds` simple rounds: round r consumes one message and sends one.
@@ -788,6 +813,107 @@ mod tests {
         }
     }
 
+    /// Logs round `round` consuming the envelopes `(from, payload)` and
+    /// sending `sent`, committing it when `commit` is set.
+    fn log_round(wal: &mut Wal<u64>, round: u64, inbox: &[(u64, u64)], sent: &[u64], commit: bool) {
+        wal.begin_round(round);
+        let inbox: Vec<Envelope<u64>> = inbox
+            .iter()
+            .map(|&(from, payload)| Envelope::new(NodeId::new(from), payload))
+            .collect();
+        wal.log_consumed(round, &inbox);
+        for &digest in sent {
+            wal.log_sent(round, digest);
+        }
+        if commit {
+            wal.commit_open();
+        }
+    }
+
+    /// Three committed rounds with 3-envelope inboxes and `sync_every = 2`,
+    /// then (when `mid_round_crash` is set) a round 4 that consumed its inbox and
+    /// crashed before sending. Entries, one per envelope, digest and commit:
+    ///
+    /// ```text
+    /// round 1: 3 consumed + 2 sent + commit = 6    (unsynced)
+    /// round 2: 3 consumed + 1 sent + commit = 5    fsync: durable = 11
+    /// round 3: 3 consumed + 2 sent + commit = 6    total 17
+    /// round 4: 3 consumed, no commit        = 3    total 20
+    /// ```
+    fn batched_wal(mid_round_crash: bool) -> Wal<u64> {
+        let mut wal = Wal::new(
+            0,
+            WalConfig {
+                sync_every: 2,
+                ..WalConfig::default()
+            },
+        );
+        log_round(&mut wal, 1, &[(11, 1), (12, 2), (13, 3)], &[100, 101], true);
+        log_round(&mut wal, 2, &[(13, 4), (11, 5), (12, 6)], &[200], true);
+        log_round(&mut wal, 3, &[(12, 7), (13, 8), (11, 9)], &[300, 301], true);
+        if mid_round_crash {
+            log_round(&mut wal, 4, &[(11, 10), (12, 11), (13, 12)], &[], false);
+        }
+        wal
+    }
+
+    #[test]
+    fn multi_envelope_inboxes_count_one_entry_per_envelope_under_every_fault() {
+        let wal = batched_wal(false);
+        assert_eq!((wal.len(), wal.durable_len()), (17, 11));
+        let wal = batched_wal(true);
+        assert_eq!((wal.len(), wal.durable_len()), (20, 11));
+
+        // (fault, mid-round crash) → (len after the fault, recovered rounds,
+        // dropped entries), worked out one entry per envelope:
+        // * clean, committed tail: nothing lost;
+        // * clean, mid-round: round 4's 3 consumed entries are uncommitted;
+        // * torn tail, committed: round 3's commit is torn, so its 5 other
+        //   entries are an uncommitted tail: 1 + 5 dropped;
+        // * torn tail, mid-round: round 4's last consumed envelope is torn and
+        //   the other 2 are uncommitted: 1 + 2 dropped;
+        // * lose unsynced: the log is cut back to the 11 durable entries;
+        // * corrupt: the first unsynced entry (round 3's first consumed
+        //   envelope) breaks the chain, so all 6 or 9 entries above the
+        //   watermark are dropped.
+        let cases = [
+            (None, false, 17, 3, 0),
+            (None, true, 20, 3, 3),
+            (Some(WalFault::TornTail), false, 17, 2, 6),
+            (Some(WalFault::TornTail), true, 20, 3, 3),
+            (Some(WalFault::LoseUnsynced), false, 11, 2, 0),
+            (Some(WalFault::LoseUnsynced), true, 11, 2, 0),
+            (Some(WalFault::Corrupt), false, 17, 2, 6),
+            (Some(WalFault::Corrupt), true, 20, 2, 9),
+        ];
+        for (fault, mid_round_crash, len, rounds, dropped) in cases {
+            let mut wal = batched_wal(mid_round_crash);
+            if let Some(fault) = fault {
+                wal.apply_fault(fault);
+            }
+            let case = format!("{fault:?}, mid-round crash {mid_round_crash}");
+            assert_eq!(wal.len(), len, "{case}: len");
+            assert_eq!(wal.durable_len(), 11, "{case}: durable_len");
+            let log = wal.replay();
+            assert_eq!(log.rounds.len(), rounds, "{case}: recovered rounds");
+            assert_eq!(log.dropped_records, dropped, "{case}: dropped entries");
+            assert!(log.consumed_monotone, "{case}");
+            // Every recovered round holds its whole inbox, in delivery order.
+            for round in &log.rounds {
+                let payloads: Vec<u64> = round.inbox.iter().map(|e| *e.payload.get()).collect();
+                let first = 3 * round.round - 2;
+                assert_eq!(payloads, vec![first, first + 1, first + 2], "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_inbox_appends_no_record() {
+        let mut wal = Wal::<u64>::new(0, WalConfig::default());
+        wal.log_consumed(1, &[]);
+        assert!(wal.is_empty());
+    }
+
     #[test]
     fn compaction_resets_the_log() {
         let mut wal = sample_wal(WalConfig::default(), 4);
@@ -879,6 +1005,35 @@ mod tests {
         assert_eq!(record.dropped_records, 0);
         assert!(record.consumed_monotone);
         assert!(!manager.is_crashed(NodeId::new(7)));
+    }
+
+    #[test]
+    fn compaction_counts_entries_not_records() {
+        let config = WalConfig {
+            sync_every: 1,
+            compact_after: 10,
+        };
+        let mut manager: RecoveryManager<Logger> =
+            RecoveryManager::with_config(Box::new(|n: &Logger| n.clone()), config);
+        let mut live = Logger::new(NodeId::new(7), 10);
+        let inbox: Vec<Envelope<u64>> = (1..=3)
+            .map(|from| Envelope::new(NodeId::new(from), from))
+            .collect();
+        // Each round logs 3 consumed envelopes, 1 sent digest and a commit.
+        let mut entries = Vec::new();
+        for round in 1..=3u64 {
+            manager.begin_step(&live, round, &inbox);
+            for message in live.step(&RoundContext::new(round), &inbox) {
+                manager.log_sent(live.id(), payload_digest(&message.payload));
+            }
+            manager.commit_step(&live);
+            entries.push(manager.wal_entries());
+        }
+        assert_eq!(
+            entries,
+            vec![5, 0, 5],
+            "round 2 reaches 10 entries and compacts"
+        );
     }
 
     #[test]
