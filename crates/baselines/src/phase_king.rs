@@ -94,13 +94,17 @@ impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug> PhaseKing<V> {
     }
 }
 
-impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug> Recoverable for PhaseKing<V> {
+impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug + Send + Sync> Recoverable
+    for PhaseKing<V>
+{
     fn snapshot(&self) -> Self {
         self.clone()
     }
 }
 
-impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug> Protocol for PhaseKing<V> {
+impl<V: Clone + Eq + Ord + std::hash::Hash + std::fmt::Debug + Send + Sync> Protocol
+    for PhaseKing<V>
+{
     type Payload = PhaseKingMessage<V>;
     type Output = V;
 

@@ -64,13 +64,15 @@ impl<M: Clone + Ord + std::fmt::Debug> StBroadcast<M> {
     }
 }
 
-impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Recoverable for StBroadcast<M> {
+impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash + Send + Sync> Recoverable
+    for StBroadcast<M>
+{
     fn snapshot(&self) -> Self {
         self.clone()
     }
 }
 
-impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Protocol for StBroadcast<M> {
+impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash + Send + Sync> Protocol for StBroadcast<M> {
     type Payload = StMessage<M>;
     type Output = M;
 

@@ -1,5 +1,5 @@
 //! Engine-scaling bench: wall-clock of one broadcast-heavy consensus run as the
-//! system grows, serial vs the opt-in parallel node-step path.
+//! system grows, pinned serial vs the default parallel node stepping.
 //!
 //! This measures the `SyncEngine::run_round` hot path itself (broadcast-aware
 //! traffic, hashed dedup, O(1) membership): the protocol work per node is fixed,
@@ -21,8 +21,9 @@ fn consensus_run(n: usize, parallel: bool) -> u64 {
         .max_rounds(5_000)
         .adversary(AdversaryKind::SplitVote)
         .consensus(&inputs);
-    if parallel {
-        harness = harness.parallel_stepping();
+    // The engine steps in parallel from 64 nodes on by default.
+    if !parallel {
+        harness = harness.parallel_threshold(usize::MAX);
     }
     let report = harness.run().expect("scaling bench run completes");
     assert!(report.completed());

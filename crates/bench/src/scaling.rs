@@ -159,7 +159,8 @@ pub struct ScalingRow {
     /// (same counts by construction; the wall-clock difference is the
     /// scheduler's overhead).
     pub engine: String,
-    /// Whether the engine's parallel node-step path was enabled for this run.
+    /// Whether the run kept the engine's default parallel node stepping (the
+    /// other rows pin it serial with `parallel_threshold(usize::MAX)`).
     pub parallel: bool,
     /// Wall-clock time of the run in milliseconds (machine-dependent).
     pub wall_ms: f64,
@@ -233,14 +234,15 @@ pub struct ScalingFile {
 /// How the grid drives the engine's node-step path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum StepMode {
-    /// Serial rows, plus a forced-parallel re-run at `n ≥ 64` whose counts are
-    /// asserted identical — the shape recorded in `BENCH_scaling.json`.
+    /// Serial rows, plus a re-run at `n ≥ 64` on the engine's default parallel
+    /// stepping whose counts are asserted identical — the shape recorded in
+    /// `BENCH_scaling.json`.
     Recorded,
-    /// Every run opts in to parallel stepping with the given engine threshold —
-    /// the shape the CI threshold-drift gate compares across thresholds.
-    Forced {
-        threshold: usize,
-    },
+    /// Every run steps in parallel from the given engine threshold on — the
+    /// shape the CI threshold-drift gate compares across thresholds.
+    Forced { threshold: usize },
+    /// Every run pinned serial (`parallel_threshold(usize::MAX)`): the
+    /// reference the drift gates compare against.
     Serial,
 }
 
@@ -286,20 +288,18 @@ fn grid_rows(quick: bool, mode: StepMode, engine: Option<EngineKind>) -> Vec<Sca
     // Applies the step mode to a built harness; returns whether the run counts
     // as "parallel" in the row.
     macro_rules! drive {
-        ($harness:expr, $force_parallel:expr) => {{
+        ($harness:expr, $parallel:expr) => {{
             let mut harness = $harness;
             let parallel = match mode {
-                StepMode::Recorded => {
-                    if $force_parallel {
-                        harness = harness.parallel_stepping();
-                    }
-                    $force_parallel
-                }
+                StepMode::Recorded if $parallel => true,
                 StepMode::Forced { threshold } => {
-                    harness = harness.parallel_stepping().parallel_threshold(threshold);
+                    harness = harness.parallel_threshold(threshold);
                     true
                 }
-                StepMode::Serial => false,
+                StepMode::Recorded | StepMode::Serial => {
+                    harness = harness.parallel_threshold(usize::MAX);
+                    false
+                }
             };
             (timed_run(harness), parallel)
         }};
@@ -314,7 +314,7 @@ fn grid_rows(quick: bool, mode: StepMode, engine: Option<EngineKind>) -> Vec<Sca
         // which is the traffic pattern the zero-copy message plane targets.
         // Split-vote is the broadcast-heavy headline (the adversary keeps the
         // phases coming). In the recorded mode, at n ≥ 64 the same scenario is
-        // re-run with the opt-in parallel node-step path, and at n = 128 once
+        // re-run on the default parallel node stepping, and at n = 128 once
         // more through the discrete-event scheduler under zero-jitter timing;
         // the counts must not move (equality is asserted), only the wall clock
         // may — the event rows record the scheduler's overhead.
@@ -414,12 +414,12 @@ pub fn scaling_rows_with_engine(quick: bool, engine: EngineKind) -> Vec<ScalingR
 }
 
 /// The CI threshold-drift gate (see `.github/workflows/ci.yml`): runs the quick
-/// grid once serially and once per parallel threshold, every run forced through
-/// the opt-in parallel path, and compares the deterministic residue of the rows
-/// (rounds, message and delivery counts, completion). Any difference between two
-/// thresholds — or between a threshold and the serial reference — is returned as
-/// a human-readable drift line; an empty result means the step modes are
-/// behaviourally indistinguishable, as the engine promises.
+/// grid once pinned serial and once per parallel threshold, and compares the
+/// deterministic residue of the rows (rounds, message and delivery counts,
+/// completion). Any difference between two thresholds — or between a threshold
+/// and the serial reference — is returned as a human-readable drift line; an
+/// empty result means the step modes are behaviourally indistinguishable, as
+/// the engine promises.
 pub fn threshold_drift(quick: bool, thresholds: &[usize]) -> Vec<String> {
     let reference: Vec<ScalingRow> = grid_rows(quick, StepMode::Serial, None)
         .iter()

@@ -175,8 +175,8 @@ pub struct StreamOutcome {
 }
 
 /// Execution knobs orthogonal to the workload shape: which engine drives the
-/// run, whether nodes step in parallel, and the two active-window switches —
-/// mux-level instance retirement and engine-level retired-tag traffic GC.
+/// run, and the two active-window switches — mux-level instance retirement
+/// and engine-level retired-tag traffic GC.
 /// Both switches are observationally silent (`tests/stream_equivalence.rs`
 /// pins report byte-identity across every combination); they only change how
 /// much memory and per-round work the run carries.
@@ -184,8 +184,6 @@ pub struct StreamOutcome {
 pub struct StreamOptions {
     /// `None` is the sync engine.
     pub engine: Option<EngineKind>,
-    /// Parallel node stepping.
-    pub parallel: bool,
     /// Retire decided mux slots into compact records (default on).
     pub retirement: bool,
     /// Prune queued engine traffic addressed to globally-retired instances
@@ -197,7 +195,6 @@ impl Default for StreamOptions {
     fn default() -> Self {
         StreamOptions {
             engine: None,
-            parallel: false,
             retirement: true,
             traffic_gc: false,
         }
@@ -205,24 +202,18 @@ impl Default for StreamOptions {
 }
 
 impl StreamOptions {
-    /// The legacy knob set: a named engine and a parallel-stepping switch.
-    pub fn on_engine(engine: Option<EngineKind>, parallel: bool) -> Self {
+    /// The default knob set on a named engine.
+    pub fn on_engine(engine: Option<EngineKind>) -> Self {
         StreamOptions {
             engine,
-            parallel,
             ..StreamOptions::default()
         }
     }
 }
 
-/// Runs a pipelined consensus stream. `engine = None` is the sync engine;
-/// `parallel` turns on parallel node stepping.
-pub fn run_consensus_stream(
-    config: &StreamConfig,
-    engine: Option<EngineKind>,
-    parallel: bool,
-) -> StreamOutcome {
-    run_consensus_stream_with(config, &StreamOptions::on_engine(engine, parallel))
+/// Runs a pipelined consensus stream. `engine = None` is the sync engine.
+pub fn run_consensus_stream(config: &StreamConfig, engine: Option<EngineKind>) -> StreamOutcome {
+    run_consensus_stream_with(config, &StreamOptions::on_engine(engine))
 }
 
 /// [`run_consensus_stream`] with the full [`StreamOptions`] knob set.
@@ -264,9 +255,6 @@ pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions)
         // guarantee the stream_equivalence pin holds us to.
         let factory = ConsensusFactory::new(vec![batch_value(&batches[0]); config.nodes]);
         let mut harness = scenario(last_start + CONSENSUS_TAIL).build(factory);
-        if options.parallel {
-            harness = harness.parallel_stepping();
-        }
         if options.traffic_gc {
             harness = harness.traffic_gc();
         }
@@ -285,9 +273,6 @@ pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions)
         )
         .retirement(options.retirement);
         let mut harness = scenario(last_start + CONSENSUS_TAIL).build(driver);
-        if options.parallel {
-            harness = harness.parallel_stepping();
-        }
         if options.traffic_gc {
             harness = harness.traffic_gc();
         }
@@ -351,12 +336,8 @@ pub fn run_consensus_stream_with(config: &StreamConfig, options: &StreamOptions)
 
 /// Runs a batched total-order stream, sampling the finalised chain every round
 /// so each batch's finalisation round (and hence per-request latency) is known.
-pub fn run_total_order_stream(
-    config: &StreamConfig,
-    engine: Option<EngineKind>,
-    parallel: bool,
-) -> StreamOutcome {
-    run_total_order_stream_with(config, &StreamOptions::on_engine(engine, parallel))
+pub fn run_total_order_stream(config: &StreamConfig, engine: Option<EngineKind>) -> StreamOutcome {
+    run_total_order_stream_with(config, &StreamOptions::on_engine(engine))
 }
 
 /// [`run_total_order_stream`] with the full [`StreamOptions`] knob set.
@@ -380,9 +361,6 @@ pub fn run_total_order_stream_with(
     }
     let mut harness: Harness<TotalOrderFactory<Vec<u64>>> =
         builder.build(TotalOrderFactory::new(plan));
-    if options.parallel {
-        harness = harness.parallel_stepping();
-    }
     if options.traffic_gc {
         harness = harness.traffic_gc();
     }
@@ -674,7 +652,7 @@ pub fn stream_rows(preset: &str, config: &StreamConfig) -> Vec<StreamRow> {
         [(None, "sync"), (Some(EngineKind::event()), "event")];
     let mut rows = Vec::new();
     for (engine, engine_name) in engines {
-        let outcome = run_consensus_stream(config, engine.clone(), false);
+        let outcome = run_consensus_stream(config, engine.clone());
         rows.push(outcome_row(
             &outcome,
             preset,
@@ -683,7 +661,7 @@ pub fn stream_rows(preset: &str, config: &StreamConfig) -> Vec<StreamRow> {
             config,
             config.instances as u64,
         ));
-        let outcome = run_total_order_stream(config, engine, false);
+        let outcome = run_total_order_stream(config, engine);
         rows.push(outcome_row(
             &outcome,
             preset,
@@ -958,7 +936,7 @@ mod tests {
 
     #[test]
     fn the_consensus_stream_decides_every_instance_and_passes_its_oracles() {
-        let outcome = run_consensus_stream(&tiny(), None, false);
+        let outcome = run_consensus_stream(&tiny(), None);
         assert_eq!(outcome.decisions, 6, "every pipelined instance decides");
         assert_eq!(outcome.requests, 36);
         assert_eq!(outcome.decided_requests, 36);
@@ -978,7 +956,7 @@ mod tests {
 
     #[test]
     fn the_total_order_stream_finalises_every_batch() {
-        let outcome = run_total_order_stream(&tiny(), None, false);
+        let outcome = run_total_order_stream(&tiny(), None);
         assert_eq!(outcome.requests, 48);
         assert_eq!(
             outcome.decided_requests, 48,
@@ -991,15 +969,15 @@ mod tests {
 
     #[test]
     fn stream_runs_are_deterministic_in_the_seed() {
-        let a = run_consensus_stream(&tiny(), None, false);
-        let b = run_consensus_stream(&tiny(), None, false);
+        let a = run_consensus_stream(&tiny(), None);
+        let b = run_consensus_stream(&tiny(), None);
         assert_eq!(a.report, b.report);
         assert_eq!(a.latencies_rounds, b.latencies_rounds);
     }
 
     #[test]
     fn the_drift_gate_flags_deterministic_changes_and_missing_rows() {
-        let outcome = run_consensus_stream(&tiny(), None, false);
+        let outcome = run_consensus_stream(&tiny(), None);
         let row = outcome_row(&outcome, "smoke", "consensus-stream", "sync", &tiny(), 6);
         let file = StreamFile {
             seed: 1,
@@ -1024,7 +1002,7 @@ mod tests {
 
     #[test]
     fn retirement_and_traffic_gc_leave_the_report_byte_identical() {
-        let base = run_consensus_stream(&tiny(), None, false);
+        let base = run_consensus_stream(&tiny(), None);
         let keeping = run_consensus_stream_with(
             &tiny(),
             &StreamOptions {

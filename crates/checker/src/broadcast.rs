@@ -44,7 +44,7 @@ pub enum SenderTruth<M> {
 }
 
 /// Collects acceptance observations from protocol nodes.
-pub fn observe<M: Clone + Ord + Debug + std::hash::Hash>(
+pub fn observe<M: Clone + Ord + Debug + std::hash::Hash + Send + Sync>(
     nodes: &[ReliableBroadcast<M>],
 ) -> Vec<NodeAcceptances<M>> {
     nodes

@@ -154,13 +154,17 @@ impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> ReliableBroadcast<M> {
     }
 }
 
-impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Recoverable for ReliableBroadcast<M> {
+impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash + Send + Sync> Recoverable
+    for ReliableBroadcast<M>
+{
     fn snapshot(&self) -> Self {
         self.clone()
     }
 }
 
-impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash> Protocol for ReliableBroadcast<M> {
+impl<M: Clone + Ord + std::fmt::Debug + std::hash::Hash + Send + Sync> Protocol
+    for ReliableBroadcast<M>
+{
     type Payload = RbMessage<M>;
     type Output = Accepted<M>;
 

@@ -253,7 +253,7 @@ impl<E: Opinion> TotalOrderNode<E> {
     }
 }
 
-impl<E: Opinion + Send + Sync + 'static> Recoverable for TotalOrderNode<E> {
+impl<E: Opinion + 'static> Recoverable for TotalOrderNode<E> {
     /// A clone that shares every instance with the live node (copy-on-write):
     /// its cost is the node's own fields plus one reference count per
     /// instance, not the instances' consensus state.
@@ -262,7 +262,7 @@ impl<E: Opinion + Send + Sync + 'static> Recoverable for TotalOrderNode<E> {
     }
 }
 
-impl<E: Opinion + Send + Sync + 'static> Protocol for TotalOrderNode<E> {
+impl<E: Opinion + 'static> Protocol for TotalOrderNode<E> {
     type Payload = TotalOrderMessage<E>;
     type Output = Vec<OrderedEvent<E>>;
 

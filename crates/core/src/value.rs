@@ -14,12 +14,13 @@ use serde::{Deserialize, Serialize};
 /// Types usable as consensus opinions.
 ///
 /// The algorithms need equality (to count votes for a value), a total order (so the
-/// coordinator selection and tie-breaks are deterministic), hashing (vote tallies) and
-/// `Debug` for diagnostics. Any type meeting the bounds works; the blanket
-/// implementation makes the trait purely a shorthand.
-pub trait Opinion: Clone + Eq + Ord + std::hash::Hash + fmt::Debug {}
+/// coordinator selection and tie-breaks are deterministic), hashing (vote tallies),
+/// `Debug` for diagnostics, and `Send + Sync` because the engines step nodes (and
+/// read their payloads) on worker threads. Any type meeting the bounds works; the
+/// blanket implementation makes the trait purely a shorthand.
+pub trait Opinion: Clone + Eq + Ord + std::hash::Hash + fmt::Debug + Send + Sync {}
 
-impl<T: Clone + Eq + Ord + std::hash::Hash + fmt::Debug> Opinion for T {}
+impl<T: Clone + Eq + Ord + std::hash::Hash + fmt::Debug + Send + Sync> Opinion for T {}
 
 /// Number of decimal digits kept by [`Real`].
 pub const REAL_DECIMALS: u32 = 6;

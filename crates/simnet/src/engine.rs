@@ -13,24 +13,30 @@
 //!    [`RoundTraffic`], and its payload is wrapped into a [`Shared`] handle —
 //!    **the only payload allocation it will ever cost**, with the dedup digest
 //!    computed right there; inbox buffers are recycled across rounds instead of
-//!    reallocated. An opt-in parallel path
-//!    ([`SyncEngine::enable_parallel_stepping`]) fans the stepping out over
-//!    `std::thread::scope` threads once the node count reaches
-//!    [`EngineConfig::parallel_node_threshold`], merging per-thread traffic in node
-//!    order so executions stay bit-for-bit deterministic.
+//!    reallocated. Once the node count reaches
+//!    [`EngineConfig::parallel_node_threshold`] (64 by default) and more than one
+//!    core is available, the stepping fans out over `std::thread::scope` workers,
+//!    merging per-worker traffic in node order so executions stay bit-for-bit
+//!    deterministic ([`SyncEngine::set_parallel_node_threshold`] moves the
+//!    threshold; `usize::MAX` pins a run serial).
 //! 2. **Adversary — O(1) + whatever the strategy reads.** The rushing adversary
 //!    observes the full point-to-point expansion of the round's correct traffic
 //!    through the lazy [`AdversaryView`] iterators (nothing is allocated by the
 //!    engine) and injects arbitrary directed messages — forwarded honest traffic
 //!    rides on cloned handles, only fabricated payloads allocate; sender
 //!    identities are verified against an O(1) membership index.
-//! 3. **Deliver — O(d) expected, zero-copy.** The compact traffic is expanded
-//!    *only towards correct recipients* (messages to Byzantine identities never
+//! 3. **Deliver — O(b·n + u + z + d) expected, zero-copy.** The compact traffic
+//!    (`b` broadcasts, `u` unicasts, `z` Byzantine messages) is expanded *only
+//!    towards correct recipients* (messages to Byzantine identities never
 //!    materialise — the adversary already saw everything via its view), grouped
 //!    into next-round inboxes, and deduplicated per `(sender, payload)` pair
 //!    through a per-inbox `(sender, digest)` set. A delivery is a
 //!    reference-count bump plus a set insert of the payload's **cached** digest:
-//!    no payload clone and no payload hash, regardless of fan-out.
+//!    no payload clone and no payload hash, regardless of fan-out. Delivery is
+//!    **recipient-major**: unicasts and Byzantine messages are bucketed by
+//!    recipient once, then each inbox is filled in one pass, so the writes stay
+//!    in one inbox's dedup set and vector at a time. Each inbox receives exactly
+//!    the envelopes, in exactly the order, of an item-by-item walk.
 //!
 //! The wall-clock cost of each phase is accumulated in [`PhaseTimings`]
 //! (`produce` / `adversary` / `deliver` / `step`, where *step* is the bookkeeping
@@ -72,9 +78,10 @@ pub struct EngineConfig {
     pub trace: bool,
     /// Capacity of the trace log when tracing is enabled.
     pub trace_capacity: usize,
-    /// Minimum node count at which the parallel node-step path kicks in. Only
-    /// consulted after [`SyncEngine::enable_parallel_stepping`] was called; below
-    /// the threshold stepping stays serial (the fan-out overhead would dominate).
+    /// Minimum node count from which phase 1 steps nodes on parallel workers
+    /// (when more than one core is available); below it stepping stays serial,
+    /// as the fan-out overhead would dominate. `usize::MAX` keeps every round
+    /// serial.
     pub parallel_node_threshold: usize,
 }
 
@@ -333,25 +340,24 @@ pub(crate) fn deliver<P: PartialEq>(
     inbox.messages.push(Envelope::new(from, payload.clone()));
 }
 
-/// The phase-1 node stepper: consumes the extracted per-node inboxes (aligned with
-/// `nodes`) and appends the produced traffic, returning the live-node count. Stored
-/// as a plain function pointer so the parallel variant — which needs `N: Send` —
-/// can be installed without putting that bound on the whole engine.
-pub(crate) type StepperFn<N> = fn(
-    &mut [N],
-    &RoundContext,
-    &mut [Option<Inbox<<N as Protocol>::Payload>>],
-    &mut RoundTraffic<<N as Protocol>::Payload>,
-) -> u64;
+/// Cores the parallel stepper may use, read once per process (the query is a
+/// handful of syscalls, and the answer does not change under a run).
+fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
-pub(crate) fn step_serial<N: Protocol>(
+/// Steps a contiguous run of nodes, each on its aligned inbox slot, handing
+/// every produced message to `push` in node order; returns the live-node
+/// count. A broadcast's payload is wrapped into its one [`Shared`] handle here.
+fn step_chunk<N: Protocol>(
     nodes: &mut [N],
     ctx: &RoundContext,
-    inboxes: &mut [Option<Inbox<N::Payload>>],
-    traffic: &mut RoundTraffic<N::Payload>,
+    inboxes: &[Option<Inbox<N::Payload>>],
+    mut push: impl FnMut(TrafficItem<N::Payload>),
 ) -> u64 {
     let mut live = 0u64;
-    for (node, slot) in nodes.iter_mut().zip(inboxes.iter_mut()) {
+    for (node, slot) in nodes.iter_mut().zip(inboxes) {
         if node.terminated() {
             continue;
         }
@@ -360,77 +366,116 @@ pub(crate) fn step_serial<N: Protocol>(
         let empty: &[Envelope<N::Payload>] = &[];
         let inbox = slot.as_ref().map_or(empty, |b| b.messages.as_slice());
         for message in node.step(ctx, inbox) {
-            match message.dest {
-                Destination::Broadcast => traffic.push_broadcast(id, message.payload),
+            push(match message.dest {
+                Destination::Broadcast => TrafficItem::Broadcast {
+                    from: id,
+                    payload: Shared::new(message.payload),
+                },
                 Destination::Unicast(to) => {
-                    traffic.push_unicast(Directed::new(id, to, message.payload))
+                    TrafficItem::Unicast(Directed::new(id, to, message.payload))
                 }
-            }
+            });
         }
     }
     live
 }
 
-pub(crate) fn step_parallel<N>(
+/// The phase-1 node stepper shared by both engines: steps every live node on
+/// its extracted inbox (`inboxes` is aligned with `nodes`) and appends the
+/// produced traffic, returning the live-node count.
+///
+/// From `threshold` nodes on, and when more than one core is available, the
+/// `step` calls fan out over `std::thread::scope` workers, one contiguous chunk
+/// each. Joining the workers in spawn order merges their traffic in node
+/// order, so the round's traffic — and with it every report — is identical to
+/// the serial walk: protocols are independent deterministic state machines.
+pub(crate) fn step_nodes<N: Protocol>(
     nodes: &mut [N],
     ctx: &RoundContext,
-    inboxes: &mut [Option<Inbox<N::Payload>>],
+    inboxes: &[Option<Inbox<N::Payload>>],
     traffic: &mut RoundTraffic<N::Payload>,
-) -> u64
-where
-    N: Protocol + Send,
-    N::Payload: Send + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(nodes.len().max(1));
+    threshold: usize,
+) -> u64 {
+    let workers = if nodes.len() >= threshold {
+        available_cores().min(nodes.len())
+    } else {
+        1
+    };
     if workers <= 1 {
-        return step_serial::<N>(nodes, ctx, inboxes, traffic);
+        return step_chunk(nodes, ctx, inboxes, |item| traffic.push(item));
     }
     let chunk = nodes.len().div_ceil(workers);
-    let mut results: Vec<(u64, Vec<TrafficItem<N::Payload>>)> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (node_chunk, inbox_chunk) in nodes.chunks_mut(chunk).zip(inboxes.chunks_mut(chunk)) {
-            handles.push(scope.spawn(move || {
-                let mut items: Vec<TrafficItem<N::Payload>> = Vec::new();
-                let mut live = 0u64;
-                for (node, slot) in node_chunk.iter_mut().zip(inbox_chunk.iter_mut()) {
-                    if node.terminated() {
-                        continue;
-                    }
-                    live += 1;
-                    let id = node.id();
-                    let empty: &[Envelope<N::Payload>] = &[];
-                    let inbox = slot.as_ref().map_or(empty, |b| b.messages.as_slice());
-                    for message in node.step(ctx, inbox) {
-                        items.push(match message.dest {
-                            Destination::Broadcast => TrafficItem::Broadcast {
-                                from: id,
-                                payload: Shared::new(message.payload),
-                            },
-                            Destination::Unicast(to) => {
-                                TrafficItem::Unicast(Directed::new(id, to, message.payload))
-                            }
-                        });
+        let handles: Vec<_> = nodes
+            .chunks_mut(chunk)
+            .zip(inboxes.chunks(chunk))
+            .map(|(node_chunk, inbox_chunk)| {
+                scope.spawn(move || {
+                    let mut items = Vec::new();
+                    let live = step_chunk(node_chunk, ctx, inbox_chunk, |item| items.push(item));
+                    (live, items)
+                })
+            })
+            .collect();
+        let mut live = 0u64;
+        for handle in handles {
+            let (chunk_live, items) = handle.join().expect("node-step worker panicked");
+            live += chunk_live;
+            traffic.extend_items(items);
+        }
+        live
+    })
+}
+
+/// Engine-owned index of one round's deliveries, bucketed by recipient slot so
+/// phase 3 can fill one inbox at a time (see [`SyncEngine::run_round`]). The
+/// buffers keep their capacity across rounds.
+#[derive(Debug, Default)]
+struct DeliveryPlan {
+    /// Indices of the round's broadcast items, in production order.
+    broadcasts: Vec<usize>,
+    /// Per slot: indices of the unicast items addressed to it, in production
+    /// order.
+    unicasts: Vec<Vec<usize>>,
+    /// Per slot: indices of the Byzantine messages addressed to it, in
+    /// adversary order.
+    byzantine: Vec<Vec<usize>>,
+}
+
+impl DeliveryPlan {
+    /// Buckets the round's traffic by recipient slot, with one `slot_index`
+    /// lookup per unicast and per Byzantine message. Messages to identities
+    /// without a slot (Byzantine or departed ones) are left out.
+    fn build<P>(
+        &mut self,
+        slots: usize,
+        slot_index: &HashMap<NodeId, usize, FastState>,
+        items: &[TrafficItem<P>],
+        byzantine: &[Directed<P>],
+    ) {
+        self.broadcasts.clear();
+        for buckets in [&mut self.unicasts, &mut self.byzantine] {
+            if buckets.len() < slots {
+                buckets.resize_with(slots, Vec::new);
+            }
+            buckets[..slots].iter_mut().for_each(Vec::clear);
+        }
+        for (index, item) in items.iter().enumerate() {
+            match item {
+                TrafficItem::Broadcast { .. } => self.broadcasts.push(index),
+                TrafficItem::Unicast(message) => {
+                    if let Some(&slot) = slot_index.get(&message.to) {
+                        self.unicasts[slot].push(index);
                     }
                 }
-                (live, items)
-            }));
+            }
         }
-        // Joining in spawn order merges the per-chunk traffic in node order, which
-        // keeps the execution identical to the serial stepper.
-        for handle in handles {
-            results.push(handle.join().expect("node-step worker panicked"));
+        for (index, message) in byzantine.iter().enumerate() {
+            if let Some(&slot) = slot_index.get(&message.to) {
+                self.byzantine[slot].push(index);
+            }
         }
-    });
-    let mut live = 0u64;
-    for (chunk_live, items) in results {
-        live += chunk_live;
-        traffic.extend_items(items);
     }
-    live
 }
 
 /// The synchronous round engine (see module docs).
@@ -454,10 +499,10 @@ pub struct SyncEngine<N: Protocol, A: Adversary<N::Payload>> {
     /// Reusable `NodeId → delivery slot` index, rebuilt each round (one hash op
     /// per *member* per round instead of one per *delivery*).
     slot_index: HashMap<NodeId, usize, FastState>,
+    /// Reusable per-recipient index of the round's deliveries.
+    plan: DeliveryPlan,
     /// Reusable compact traffic buffer for the current round.
     traffic: RoundTraffic<N::Payload>,
-    /// Installed by [`SyncEngine::enable_parallel_stepping`]; `None` means serial.
-    parallel_stepper: Option<StepperFn<N>>,
     round: u64,
     metrics: Metrics,
     timings: PhaseTimings,
@@ -502,8 +547,8 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
             step_inboxes: Vec::new(),
             delivery_slots: Vec::new(),
             slot_index: HashMap::default(),
+            plan: DeliveryPlan::default(),
             traffic: RoundTraffic::new(),
-            parallel_stepper: None,
             round: 0,
             metrics: Metrics::new(),
             timings: PhaseTimings::default(),
@@ -675,9 +720,10 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
         self.timings.clone()
     }
 
-    /// Overrides the node count at which the parallel step path engages (see
-    /// [`EngineConfig::parallel_node_threshold`]). Mostly useful for equivalence
-    /// tests that want to force the parallel path at small sizes.
+    /// Overrides the node count at which phase 1 steps nodes in parallel (see
+    /// [`EngineConfig::parallel_node_threshold`]): `1` forces the parallel path
+    /// at any size, `usize::MAX` keeps every round serial — the two ends the
+    /// serial ≡ parallel equivalence suites compare.
     pub fn set_parallel_node_threshold(&mut self, threshold: usize) {
         self.config.parallel_node_threshold = threshold;
     }
@@ -840,17 +886,14 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
                 recovery.begin_step(node, self.round, inbox);
             }
         }
-        let stepper = match self.parallel_stepper {
-            Some(parallel) if self.nodes.len() >= self.config.parallel_node_threshold => parallel,
-            _ => step_serial::<N>,
-        };
         self.timings.add("step", elapsed_ns(step_started));
         let produce_started = Instant::now();
-        let live = stepper(
+        let live = step_nodes(
             &mut self.nodes,
             &ctx,
-            &mut self.step_inboxes,
+            &self.step_inboxes,
             &mut self.traffic,
+            self.config.parallel_node_threshold,
         );
         self.timings.add("produce", elapsed_ns(produce_started));
         let step_started = Instant::now();
@@ -919,15 +962,15 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
             spare_inboxes,
             delivery_slots,
             slot_index,
+            plan,
             trace,
             byzantine_index,
             ..
         } = self;
         // Stage the correct recipients' inboxes into index-aligned slots (the
         // round's recipient list leads with the correct nodes, in this exact
-        // order), so a broadcast's fan-out is a straight array walk and a
-        // unicast target costs one fast-map lookup — no per-delivery hashing of
-        // recipient ids.
+        // order), and bucket the unicasts and Byzantine messages by slot — one
+        // fast-map lookup each, no per-delivery hashing of recipient ids.
         slot_index.clear();
         delivery_slots.clear();
         for &id in &correct_ids {
@@ -937,47 +980,49 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
             slot_index.insert(id, delivery_slots.len());
             delivery_slots.push(inbox);
         }
-        for item in traffic.items() {
-            match item {
-                TrafficItem::Broadcast { from, payload } => {
-                    for (slot, &to) in delivery_slots.iter_mut().zip(&correct_ids) {
-                        deliver(
-                            slot,
-                            trace,
-                            byzantine_index,
-                            delivery_round,
-                            *from,
-                            to,
-                            payload,
-                            &mut deliveries,
-                        );
-                    }
-                }
-                TrafficItem::Unicast(message) => {
-                    if let Some(&slot) = slot_index.get(&message.to) {
-                        deliver(
-                            &mut delivery_slots[slot],
-                            trace,
-                            byzantine_index,
-                            delivery_round,
-                            message.from,
-                            message.to,
-                            &message.payload,
-                            &mut deliveries,
-                        );
-                    }
-                }
-            }
-        }
-        for message in &byzantine_traffic {
-            if let Some(&slot) = slot_index.get(&message.to) {
+        let items = traffic.items();
+        plan.build(delivery_slots.len(), slot_index, items, &byzantine_traffic);
+        // Recipient-major: fill one inbox at a time, so the writes of a pass
+        // stay in one `seen` set and one `messages` vector instead of
+        // spreading every broadcast over all of them. Per recipient the offers
+        // arrive in the item-major order — items in production order (its
+        // unicasts merged between the broadcasts by item index), then its
+        // Byzantine messages in adversary order — so every inbox, and with it
+        // first-occurrence dedup, is exactly what an item-by-item walk builds.
+        for (slot, (inbox, &to)) in delivery_slots.iter_mut().zip(&correct_ids).enumerate() {
+            let mut offer = |index: usize| {
+                let (from, payload) = match &items[index] {
+                    TrafficItem::Broadcast { from, payload } => (*from, payload),
+                    TrafficItem::Unicast(message) => (message.from, &message.payload),
+                };
                 deliver(
-                    &mut delivery_slots[slot],
+                    inbox,
+                    trace,
+                    byzantine_index,
+                    delivery_round,
+                    from,
+                    to,
+                    payload,
+                    &mut deliveries,
+                );
+            };
+            let mut unicasts = plan.unicasts[slot].iter().copied().peekable();
+            for &broadcast in &plan.broadcasts {
+                while let Some(unicast) = unicasts.next_if(|&unicast| unicast < broadcast) {
+                    offer(unicast);
+                }
+                offer(broadcast);
+            }
+            unicasts.for_each(&mut offer);
+            for &index in &plan.byzantine[slot] {
+                let message = &byzantine_traffic[index];
+                deliver(
+                    inbox,
                     trace,
                     byzantine_index,
                     delivery_round,
                     message.from,
-                    message.to,
+                    to,
                     &message.payload,
                     &mut deliveries,
                 );
@@ -1108,24 +1153,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> SyncEngine<N, A> {
     /// drivers that want to inspect adversary state after a run.
     pub fn into_parts(self) -> (Vec<N>, A, Metrics) {
         (self.nodes, self.adversary, self.metrics)
-    }
-}
-
-impl<N, A> SyncEngine<N, A>
-where
-    N: Protocol + Send,
-    N::Payload: Send + Sync,
-    A: Adversary<N::Payload>,
-{
-    /// Opts in to the parallel node-step path: once the node count reaches
-    /// [`EngineConfig::parallel_node_threshold`], phase 1 fans the `step` calls out
-    /// over scoped threads (one contiguous chunk per available core) and merges the
-    /// produced traffic in node order. Executions are bit-for-bit identical to the
-    /// serial path — protocols are independent deterministic state machines, and
-    /// the merge preserves the serial traffic order — so this is purely a
-    /// wall-clock optimisation for large systems.
-    pub fn enable_parallel_stepping(&mut self) {
-        self.parallel_stepper = Some(step_parallel::<N>);
     }
 }
 
@@ -1289,7 +1316,7 @@ mod tests {
                     .collect()
             });
             let config = EngineConfig {
-                parallel_node_threshold: 1,
+                parallel_node_threshold: if parallel { 1 } else { usize::MAX },
                 trace: true,
                 trace_capacity: 1 << 16,
                 ..Default::default()
@@ -1298,9 +1325,6 @@ mod tests {
                 .map(|i| Counter::new(NodeId::new(10 + 3 * i as u64), 4))
                 .collect();
             let mut engine = SyncEngine::with_config(ns, adv, vec![byz], config);
-            if parallel {
-                engine.enable_parallel_stepping();
-            }
             engine.run_to_termination(10).unwrap();
             (
                 engine.metrics().clone(),
@@ -1322,6 +1346,242 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         assert_eq!(serial_trace, parallel_trace, "delivery order is identical");
+    }
+
+    /// Plays a fixed script — `script[r - 1]` is sent in round `r` — and
+    /// records every inbox it consumes as `(sender, payload)` pairs. A node
+    /// built `terminated` never steps, so its inbox accumulates.
+    #[derive(Clone, Debug)]
+    struct Scripted {
+        id: NodeId,
+        script: Vec<Vec<Outgoing<u64>>>,
+        consumed: Vec<Vec<(u64, u64)>>,
+        terminated: bool,
+    }
+
+    impl Protocol for Scripted {
+        type Payload = u64;
+        type Output = usize;
+
+        fn id(&self) -> NodeId {
+            self.id
+        }
+
+        fn step(&mut self, ctx: &RoundContext, inbox: &[Envelope<u64>]) -> Vec<Outgoing<u64>> {
+            self.consumed
+                .push(inbox.iter().map(|e| (e.from.raw(), *e.payload())).collect());
+            self.script
+                .get(ctx.round as usize - 1)
+                .cloned()
+                .unwrap_or_default()
+        }
+
+        fn output(&self) -> Option<usize> {
+            None
+        }
+
+        fn terminated(&self) -> bool {
+            self.terminated
+        }
+    }
+
+    /// The queued next-round inbox of a correct node, as `(sender, payload)`.
+    fn queued<A: Adversary<u64>>(engine: &SyncEngine<Scripted, A>, raw: u64) -> Vec<(u64, u64)> {
+        engine
+            .inboxes
+            .get(&NodeId::new(raw))
+            .map_or_else(Vec::new, |inbox| {
+                inbox
+                    .messages
+                    .iter()
+                    .map(|e| (e.from.raw(), *e.payload()))
+                    .collect()
+            })
+    }
+
+    #[test]
+    fn every_inbox_receives_its_envelopes_in_item_order() {
+        // Correct nodes 1..=4 (node 4 terminated from the start) and the
+        // Byzantine identity 9. Each inbox must hold its offers in production
+        // order — broadcasts and the unicasts addressed to it interleaved as
+        // they were produced — then its Byzantine messages in adversary order,
+        // with first-occurrence dedup per (sender, payload).
+        let id = NodeId::new;
+        let node = |raw: u64, script: Vec<Vec<Outgoing<u64>>>| Scripted {
+            id: id(raw),
+            terminated: script.is_empty(),
+            script,
+            consumed: Vec::new(),
+        };
+        let nodes = vec![
+            node(
+                1,
+                vec![
+                    // A unicast ahead of the broadcast, a unicast repeating the
+                    // broadcast's payload to the same recipient, one more unicast.
+                    vec![
+                        Outgoing::unicast(id(2), 12),
+                        Outgoing::broadcast(10),
+                        Outgoing::unicast(id(2), 10),
+                        Outgoing::unicast(id(3), 11),
+                    ],
+                    vec![Outgoing::broadcast(10)],
+                ],
+            ),
+            // Unicasts to a subset, one of them to the Byzantine identity.
+            node(
+                2,
+                vec![vec![
+                    Outgoing::unicast(id(1), 20),
+                    Outgoing::unicast(id(4), 20),
+                    Outgoing::unicast(id(9), 21),
+                ]],
+            ),
+            node(
+                3,
+                vec![
+                    vec![Outgoing::broadcast(30)],
+                    vec![Outgoing::unicast(id(4), 31)],
+                ],
+            ),
+            node(4, vec![]),
+        ];
+        let adversary = FnAdversary::new(move |v: &AdversaryView<'_, u64>| {
+            let byz = |to: u64, payload: u64| Directed::new(id(9), id(to), payload);
+            if v.round == 1 {
+                vec![byz(1, 90), byz(1, 90), byz(4, 91), byz(3, 92), byz(4, 91)]
+            } else {
+                vec![byz(4, 91), byz(1, 90)]
+            }
+        });
+        let mut engine = SyncEngine::new(nodes, adversary, vec![id(9)]);
+
+        engine.run_rounds(1).unwrap();
+        let round_one = [
+            (1, vec![(1, 10), (2, 20), (3, 30), (9, 90)]),
+            (2, vec![(1, 12), (1, 10), (3, 30)]),
+            (3, vec![(1, 10), (1, 11), (3, 30), (9, 92)]),
+            (4, vec![(1, 10), (2, 20), (3, 30), (9, 91)]),
+        ];
+        for (raw, expected) in &round_one {
+            assert_eq!(&queued(&engine, *raw), expected, "round-1 inbox of {raw}");
+        }
+        assert_eq!(engine.metrics().per_round[0].deliveries, 15);
+
+        engine.run_rounds(1).unwrap();
+        for (raw, expected) in &round_one[..3] {
+            let consumed = &engine.node(id(*raw)).unwrap().consumed;
+            assert_eq!(&consumed[1], expected, "node {raw} consumed its inbox");
+        }
+        assert_eq!(queued(&engine, 1), [(1, 10), (9, 90)]);
+        assert_eq!(queued(&engine, 2), [(1, 10)]);
+        assert_eq!(queued(&engine, 3), [(1, 10)]);
+        // The terminated node keeps its dedup state: the repeated broadcast
+        // and Byzantine message are dropped, only the new unicast lands.
+        assert_eq!(
+            queued(&engine, 4),
+            [(1, 10), (2, 20), (3, 30), (9, 91), (3, 31)]
+        );
+        assert!(engine.node(id(4)).unwrap().consumed.is_empty());
+        assert_eq!(engine.metrics().per_round[1].deliveries, 5);
+        assert_eq!(engine.metrics().deliveries, 20);
+    }
+
+    /// Records the thread each `step` ran on.
+    #[derive(Debug)]
+    struct ThreadProbe {
+        id: NodeId,
+        threads: Vec<std::thread::ThreadId>,
+    }
+
+    impl Protocol for ThreadProbe {
+        type Payload = u64;
+        type Output = usize;
+
+        fn id(&self) -> NodeId {
+            self.id
+        }
+
+        fn step(&mut self, _ctx: &RoundContext, _inbox: &[Envelope<u64>]) -> Vec<Outgoing<u64>> {
+            self.threads.push(std::thread::current().id());
+            vec![Outgoing::broadcast(self.id.raw())]
+        }
+
+        fn output(&self) -> Option<usize> {
+            None
+        }
+    }
+
+    #[test]
+    fn nodes_step_on_workers_from_the_threshold_on_in_both_engines() {
+        use crate::event::{EventEngine, EventTiming};
+        use std::thread::ThreadId;
+
+        let threshold = EngineConfig::default().parallel_node_threshold;
+        let caller = HashSet::from([std::thread::current().id()]);
+        let probes = |n: u64| -> Vec<ThreadProbe> {
+            (0..n)
+                .map(|i| ThreadProbe {
+                    id: NodeId::new(i),
+                    threads: Vec::new(),
+                })
+                .collect()
+        };
+        let threads = |nodes: &[ThreadProbe]| -> HashSet<ThreadId> {
+            nodes
+                .iter()
+                .flat_map(|n| n.threads.iter().copied())
+                .collect()
+        };
+        // Two rounds of `n` nodes with an optional threshold override, on the
+        // sync engine or the zero-jitter event engine.
+        let run = |event: bool, n: u64, pinned: Option<usize>| -> HashSet<ThreadId> {
+            if event {
+                let mut engine = EventEngine::new(
+                    probes(n),
+                    SilentAdversary,
+                    vec![],
+                    EventTiming::synchronous(),
+                );
+                if let Some(threshold) = pinned {
+                    engine.set_parallel_node_threshold(threshold);
+                }
+                engine.run_rounds(2).unwrap();
+                threads(engine.nodes())
+            } else {
+                let mut engine = SyncEngine::new(probes(n), SilentAdversary, vec![]);
+                if let Some(threshold) = pinned {
+                    engine.set_parallel_node_threshold(threshold);
+                }
+                engine.run_rounds(2).unwrap();
+                threads(engine.nodes())
+            }
+        };
+        let multicore = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+        for event in [false, true] {
+            let at_threshold = run(event, threshold as u64, None);
+            if multicore {
+                assert!(
+                    at_threshold.len() > 1,
+                    "event = {event}: {threshold} nodes stepped on one thread by default"
+                );
+            } else {
+                assert_eq!(
+                    at_threshold, caller,
+                    "event = {event}: one core steps serially"
+                );
+            }
+            assert_eq!(
+                run(event, threshold as u64 - 1, None),
+                caller,
+                "event = {event}: below the threshold every step runs on the caller"
+            );
+            assert_eq!(
+                run(event, threshold as u64, Some(usize::MAX)),
+                caller,
+                "event = {event}: a usize::MAX threshold pins stepping serial"
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!    timer;
 //! 2. **step** — apply churn, then hand every node whose timer fired its
 //!    accumulated inbox (when all timers fire together — the zero-skew case —
-//!    this reuses the synchronous engine's serial and parallel steppers
-//!    verbatim, so executions are bit-for-bit identical to [`SyncEngine`]);
+//!    this reuses the synchronous engine's stepper verbatim, parallel from
+//!    [`EngineConfig::parallel_node_threshold`] nodes on, so executions are
+//!    bit-for-bit identical to [`SyncEngine`]);
 //! 3. **adversary** — the rushing adversary observes the batch's correct
 //!    traffic and injects its own messages, exactly as in the sync engine;
 //! 4. **schedule (expand)** — every point-to-point message is assigned an
@@ -24,11 +25,13 @@
 //!
 //! With [`EventTiming::synchronous`] — constant one-round delays, zero skew, no
 //! reordering — step 5 pops exactly the messages sent in step 4, in scheduling
-//! order, so the engine produces **byte-identical** metrics, traces and reports
-//! to [`SyncEngine`] (pinned by `tests/event_equivalence.rs`). Every other
-//! timing opens scenario space the round barrier cannot express: per-link
-//! jitter, partitions, and GST partial synchrony where pre-GST messages stall
-//! until stabilisation.
+//! order, so the engine produces **byte-identical** metrics and reports to
+//! [`SyncEngine`] (pinned by `tests/event_equivalence.rs`), and every inbox
+//! holds the same envelopes in the same order. Only the global order of trace
+//! events within a round differs: this engine records in dispatch order, the
+//! sync engine recipient-major. Every other timing opens scenario space the
+//! round barrier cannot express: per-link jitter, partitions, and GST partial
+//! synchrony where pre-GST messages stall until stabilisation.
 //!
 //! [`SyncEngine`]: crate::SyncEngine
 
@@ -38,8 +41,8 @@ use std::time::Instant;
 use crate::adversary::{Adversary, AdversaryView};
 use crate::dynamic::{ChurnEvent, ChurnSchedule};
 use crate::engine::{
-    deliver, elapsed_ns, step_parallel, step_serial, ChurnDriver, EngineConfig, FastState, Inbox,
-    PhaseTimings, RunOutcome, StepperFn,
+    deliver, elapsed_ns, step_nodes, ChurnDriver, EngineConfig, FastState, Inbox, PhaseTimings,
+    RunOutcome,
 };
 use crate::error::SimError;
 use crate::id::NodeId;
@@ -74,7 +77,6 @@ pub struct EventEngine<N: Protocol, A: Adversary<N::Payload>> {
     /// Global scheduling sequence number — the last deterministic tie-break of
     /// the delivery queue and the stream index of the reorder key.
     seq: u64,
-    parallel_stepper: Option<StepperFn<N>>,
     round: u64,
     metrics: Metrics,
     timings: PhaseTimings,
@@ -137,7 +139,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> EventEngine<N, A> {
             delay: timing.delay,
             reorder_seed: timing.reorder_seed,
             seq: 0,
-            parallel_stepper: None,
             round: 0,
             metrics: Metrics::new(),
             timings: PhaseTimings::default(),
@@ -313,7 +314,8 @@ impl<N: Protocol, A: Adversary<N::Payload>> EventEngine<N, A> {
         self.timings.clone()
     }
 
-    /// Overrides the node count at which the parallel step path engages.
+    /// Overrides the node count at which a full batch steps its nodes in
+    /// parallel (see [`EngineConfig::parallel_node_threshold`]).
     pub fn set_parallel_node_threshold(&mut self, threshold: usize) {
         self.config.parallel_node_threshold = threshold;
     }
@@ -508,18 +510,12 @@ impl<N: Protocol, A: Adversary<N::Payload>> EventEngine<N, A> {
 
         let produce_started = Instant::now();
         let live = if batch_full {
-            let ctx = RoundContext::new(self.round);
-            let stepper = match self.parallel_stepper {
-                Some(parallel) if self.nodes.len() >= self.config.parallel_node_threshold => {
-                    parallel
-                }
-                _ => step_serial::<N>,
-            };
-            stepper(
+            step_nodes(
                 &mut self.nodes,
-                &ctx,
-                &mut self.step_inboxes,
+                &RoundContext::new(self.round),
+                &self.step_inboxes,
                 &mut self.traffic,
+                self.config.parallel_node_threshold,
             )
         } else {
             let mut live = 0u64;
@@ -603,11 +599,11 @@ impl<N: Protocol, A: Adversary<N::Payload>> EventEngine<N, A> {
 
         // Phase 3 (schedule): expand the compact traffic towards correct
         // recipients and assign each point-to-point message an arrival time.
-        // The expansion order matches the sync engine's delivery order exactly
-        // (items in production order, broadcasts fanned over the correct nodes
-        // in membership order, Byzantine traffic last), so with equal arrival
-        // times and no reorder key the queue pops in the same order the sync
-        // engine delivers.
+        // The expansion is item-major (items in production order, broadcasts
+        // fanned over the correct nodes in membership order, Byzantine traffic
+        // last), so with equal arrival times and no reorder key each inbox
+        // receives its envelopes in the order the sync engine's
+        // recipient-major pass delivers them.
         let schedule_started = Instant::now();
         let correct_count = self.traffic.point_to_point_count();
         let byz_count = byzantine_traffic.len() as u64;
@@ -795,22 +791,6 @@ impl<N: Protocol, A: Adversary<N::Payload>> EventEngine<N, A> {
     /// Consumes the engine and returns its parts (nodes, adversary, metrics).
     pub fn into_parts(self) -> (Vec<N>, A, Metrics) {
         (self.nodes, self.adversary, self.metrics)
-    }
-}
-
-impl<N, A> EventEngine<N, A>
-where
-    N: Protocol + Send,
-    N::Payload: Send + Sync,
-    A: Adversary<N::Payload>,
-{
-    /// Opts in to the parallel node-step path for full batches (see
-    /// [`SyncEngine::enable_parallel_stepping`]); partial batches always step
-    /// serially — the due subset is typically small.
-    ///
-    /// [`SyncEngine::enable_parallel_stepping`]: crate::SyncEngine::enable_parallel_stepping
-    pub fn enable_parallel_stepping(&mut self) {
-        self.parallel_stepper = Some(step_parallel::<N>);
     }
 }
 

@@ -442,7 +442,7 @@ mod tests {
         traffic.begin_round(CORRECT.iter().copied().chain(BYZ.iter().copied()));
         traffic.push_broadcast(CORRECT[0], 100u32);
 
-        let before = crate::shared::allocations();
+        let before = crate::shared::thread_allocations();
         let mut adv =
             TamperAdversary::new(ReplayAdversary::new(true), |round, _to, p: &mut u32| {
                 *p += round as u32;
@@ -455,7 +455,10 @@ mod tests {
         // Copy-on-write: every forwarded handle shares the broadcast's one
         // allocation, so each tampered copy pays exactly one clone — and the
         // honest payload in the traffic is untouched.
-        assert_eq!(crate::shared::allocations() - before, out.len() as u64);
+        assert_eq!(
+            crate::shared::thread_allocations() - before,
+            out.len() as u64
+        );
         let TrafficItem::Broadcast { payload, .. } = &traffic.items()[0] else {
             panic!("broadcast item");
         };
@@ -463,7 +466,7 @@ mod tests {
 
         // A uniquely owned payload (fabricated by the inner strategy) is edited
         // in place: the tamper layer adds zero allocations on top.
-        let before = crate::shared::allocations();
+        let before = crate::shared::thread_allocations();
         let inner = FnAdversary::new(|v: &AdversaryView<'_, u32>| {
             vec![Directed::new(v.byzantine_ids[0], CORRECT[0], 7u32)]
         });
@@ -472,7 +475,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload, 9u32);
         assert_eq!(
-            crate::shared::allocations() - before,
+            crate::shared::thread_allocations() - before,
             1,
             "one fabrication, zero tamper clones"
         );

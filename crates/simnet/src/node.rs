@@ -33,16 +33,20 @@ impl RoundContext {
 /// The protocol **must not** assume anything about the number of participants: the
 /// only information available about the rest of the system is the set of sender
 /// identifiers observed in inboxes — exactly the id-only model.
-pub trait Protocol {
+///
+/// Nodes (and so their outputs) are `Send` and payloads `Send + Sync` because
+/// the engines step large systems on scoped worker threads: a node moves to a
+/// worker for its `step`, and its inbox's shared payload handles are read there.
+pub trait Protocol: Send {
     /// The wire payload exchanged by this protocol.
     ///
     /// The `Hash` bound is what lets the engine deduplicate deliveries through a
     /// per-inbox `(sender, payload hash)` set in O(1) expected time instead of a
     /// linear scan; every wire format is a plain data enum, so the bound costs
     /// implementations a `#[derive(Hash)]` at most.
-    type Payload: Clone + std::fmt::Debug + PartialEq + std::hash::Hash;
+    type Payload: Clone + std::fmt::Debug + PartialEq + std::hash::Hash + Send + Sync;
     /// The value the node eventually outputs (decision, accepted message, chain, …).
-    type Output: Clone + std::fmt::Debug;
+    type Output: Clone + std::fmt::Debug + Send;
 
     /// The node's own identifier (the only global knowledge it starts with).
     fn id(&self) -> NodeId;

@@ -6,8 +6,10 @@
 //! message plane: a thin reference-counted handle over an immutable payload that
 //!
 //! * allocates the payload **exactly once** — [`Shared::new`] is the only place a
-//!   payload is ever materialised, and it bumps a process-wide counter that tests
-//!   assert against ([`Shared::allocations`]);
+//!   payload is ever materialised, and it bumps a process-wide counter
+//!   ([`allocations`], which also sees the engines' worker threads) and a
+//!   per-thread one ([`thread_allocations`], which unit tests read so that
+//!   sibling test threads cannot disturb their counts);
 //! * carries a **cached digest** — the same 64-bit value the engine's dedup set
 //!   used to recompute per delivery is now computed once per allocation
 //!   ([`Shared::digest`]), so delivering a broadcast to `k` recipients hashes the
@@ -18,11 +20,13 @@
 //!   bump; only a mutation through [`Shared::modify`] pays a payload clone, and
 //!   only when the handle is actually shared.
 //!
-//! The handle is an [`Arc`] rather than an `Rc` because the engine's opt-in
-//! parallel node-step path moves inboxes (and the traffic produced by worker
-//! threads) across `std::thread::scope` threads; the atomic reference-count bump
-//! is still orders of magnitude cheaper than the deep clones it replaces.
+//! The handle is an [`Arc`] rather than an `Rc` because the engines step large
+//! systems in parallel by default, moving inboxes (and the traffic produced by
+//! worker threads) across `std::thread::scope` threads; the atomic
+//! reference-count bump is still orders of magnitude cheaper than the deep
+//! clones it replaces.
 
+use std::cell::Cell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,6 +39,11 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of payload deallocations (see [`live_allocations`]).
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's count of payload allocations (see [`thread_allocations`]).
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// The digest the dedup set keys on: identical to hashing the payload through
 /// `DefaultHasher` directly, so executions are bit-for-bit identical to the
@@ -132,6 +141,7 @@ impl<P: Hash> Shared<P> {
     /// [`Shared::allocations`].
     pub fn new(value: P) -> Self {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        THREAD_ALLOCATIONS.with(|count| count.set(count.get() + 1));
         let digest = digest_of(&value);
         Shared(Repr::Owned(Arc::new(SharedInner { digest, value })))
     }
@@ -232,6 +242,16 @@ impl<P> Shared<P> {
 /// O(#broadcasts), not O(n · #broadcasts).
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Payloads allocated by the calling thread so far (monotone counter, bumped
+/// with [`allocations`] by every [`Shared::new`] on this thread). A unit test
+/// that allocates only on its own thread measures its region with this
+/// instead of [`allocations`], which every concurrently running test thread
+/// also bumps. Work that steps nodes on engine worker threads needs the
+/// process-wide counter.
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 /// Total payload allocations already dropped by this process (monotone
@@ -364,10 +384,14 @@ mod tests {
 
     #[test]
     fn clone_shares_the_allocation() {
-        let before = allocations();
+        let before = thread_allocations();
         let a = Shared::new(vec![1u32, 2, 3]);
         let b = a.clone();
-        assert_eq!(allocations() - before, 1, "one allocation, two handles");
+        assert_eq!(
+            thread_allocations() - before,
+            1,
+            "one allocation, two handles"
+        );
         assert!(Shared::ptr_eq(&a, &b));
         assert_eq!(a.token(), b.token());
         assert_eq!(a, b);
@@ -397,12 +421,12 @@ mod tests {
 
     #[test]
     fn modify_is_copy_on_write() {
-        let before = allocations();
+        let before = thread_allocations();
         let mut unique = Shared::new(10u64);
         unique.modify(|v| *v += 1);
         assert_eq!(*unique, 11);
         assert_eq!(
-            allocations() - before,
+            thread_allocations() - before,
             1,
             "a unique handle mutates in place"
         );
@@ -418,7 +442,11 @@ mod tests {
         assert_eq!(*shared, 11, "the original is untouched");
         assert_eq!(*tampered, 99);
         assert!(!Shared::ptr_eq(&shared, &tampered));
-        assert_eq!(allocations() - before, 2, "only the tamper paid a clone");
+        assert_eq!(
+            thread_allocations() - before,
+            2,
+            "only the tamper paid a clone"
+        );
     }
 
     #[test]
@@ -444,10 +472,14 @@ mod tests {
 
     #[test]
     fn projection_borrows_without_allocating() {
-        let before = allocations();
+        let before = thread_allocations();
         let tagged: Shared<(u64, Vec<u32>)> = Shared::new((7, vec![1, 2, 3]));
         let view = tagged.project_second();
-        assert_eq!(allocations() - before, 1, "the view is not an allocation");
+        assert_eq!(
+            thread_allocations() - before,
+            1,
+            "the view is not an allocation"
+        );
         // The view aliases the field inside the tuple allocation…
         assert_eq!(view.token(), &tagged.get().1 as *const Vec<u32> as usize);
         assert_eq!(*view, vec![1, 2, 3]);
@@ -493,12 +525,16 @@ mod tests {
             Tagged(u64, Vec<u32>),
         }
         let message = Shared::new(Wire::Tagged(3, vec![9, 9, 9]));
-        let before = allocations();
+        let before = thread_allocations();
         let view: Shared<Vec<u32>> = message.project(|m| {
             let Wire::Tagged(_, inner) = m;
             inner
         });
-        assert_eq!(allocations() - before, 0, "a view is not an allocation");
+        assert_eq!(
+            thread_allocations() - before,
+            0,
+            "a view is not an allocation"
+        );
         assert_eq!(*view, vec![9, 9, 9]);
         let Wire::Tagged(_, inner) = message.get();
         assert!(

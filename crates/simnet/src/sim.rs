@@ -688,19 +688,6 @@ impl<F: ProtocolFactory> EngineHost<F> {
     }
 }
 
-impl<F: ProtocolFactory> EngineHost<F>
-where
-    F::Node: Send,
-    <F::Node as Protocol>::Payload: Send + Sync,
-{
-    fn enable_parallel_stepping(&mut self) {
-        match self {
-            EngineHost::Sync(engine) => engine.enable_parallel_stepping(),
-            EngineHost::Event(engine) => engine.enable_parallel_stepping(),
-        }
-    }
-}
-
 /// A typed, runnable simulation: engine + factory + scenario context.
 pub struct Harness<F: ProtocolFactory> {
     factory: F,
@@ -764,22 +751,14 @@ impl<F: ProtocolFactory> Harness<F> {
         self
     }
 
-    /// Opts in to the engine's parallel node-step path (see
-    /// [`SyncEngine::enable_parallel_stepping`]); a no-op below the engine's
-    /// configured node-count threshold. Executions stay bit-for-bit identical to
-    /// the serial path, so reports remain comparable across modes.
-    pub fn parallel_stepping(mut self) -> Self
-    where
-        F::Node: Send,
-        <F::Node as Protocol>::Payload: Send + Sync,
-    {
-        self.engine.enable_parallel_stepping();
-        self
-    }
-
-    /// Overrides the node count at which the parallel step path engages. The CI
-    /// count-drift gate runs the same grid at two thresholds and asserts the
-    /// reports are identical, so serial/parallel divergence cannot land silently.
+    /// Overrides the node count from which the engine steps nodes on parallel
+    /// workers (default [`EngineConfig::parallel_node_threshold`], 64; the
+    /// parallel path also needs more than one core). `usize::MAX` gives a
+    /// serial reference run, `1` forces the parallel path at any size. Reports
+    /// are identical either way — the CI count-drift gate and the equivalence
+    /// suites compare both ends — so this only moves the wall clock.
+    ///
+    /// [`EngineConfig::parallel_node_threshold`]: crate::engine::EngineConfig::parallel_node_threshold
     pub fn parallel_threshold(mut self, threshold: usize) -> Self {
         self.engine.set_parallel_node_threshold(threshold);
         self

@@ -91,6 +91,16 @@ impl<P: Deserialize + Hash> Deserialize for TraceEvent<P> {
 }
 
 /// A bounded log of delivered messages.
+///
+/// Events are recorded in delivery order. Within a round the synchronous
+/// engine delivers **recipient-major** — all of one recipient's messages, then
+/// the next recipient's, in the round's correct-node order — so a recipient's
+/// events appear in exactly the order its inbox holds them, while the
+/// interleaving *across* recipients is an engine detail (the event engine
+/// records in dispatch order instead). Consumers should read the log per
+/// recipient ([`TraceLog::to_node`]) or as a multiset, never rely on the
+/// global order within a round. The capacity bound keeps the first events in
+/// that order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceLog<P> {
     events: Vec<TraceEvent<P>>,
@@ -120,7 +130,8 @@ impl<P> TraceLog<P> {
         }
     }
 
-    /// The recorded events, in delivery order.
+    /// The recorded events, in delivery order (recipient-major within a
+    /// synchronous round; see the type docs).
     pub fn events(&self) -> &[TraceEvent<P>] {
         &self.events
     }

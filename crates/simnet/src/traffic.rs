@@ -127,8 +127,7 @@ impl<P> RoundTraffic<P> {
     /// how many recipients the expansion reaches. Accepts an owned payload or an
     /// existing handle.
     pub fn push_broadcast(&mut self, from: NodeId, payload: impl Into<Shared<P>>) {
-        self.broadcasts += 1;
-        self.items.push(TrafficItem::Broadcast {
+        self.push(TrafficItem::Broadcast {
             from,
             payload: payload.into(),
         });
@@ -136,17 +135,22 @@ impl<P> RoundTraffic<P> {
 
     /// Records a unicast.
     pub fn push_unicast(&mut self, message: Directed<P>) {
-        self.items.push(TrafficItem::Unicast(message));
+        self.push(TrafficItem::Unicast(message));
+    }
+
+    /// Records a pre-built item.
+    pub fn push(&mut self, item: TrafficItem<P>) {
+        if matches!(item, TrafficItem::Broadcast { .. }) {
+            self.broadcasts += 1;
+        }
+        self.items.push(item);
     }
 
     /// Appends pre-built items (used when merging per-thread buffers in node
     /// order).
     pub fn extend_items(&mut self, items: impl IntoIterator<Item = TrafficItem<P>>) {
         for item in items {
-            if matches!(item, TrafficItem::Broadcast { .. }) {
-                self.broadcasts += 1;
-            }
-            self.items.push(item);
+            self.push(item);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Engine-equivalence suite: the broadcast-aware `run_round` rewrite (compact
-//! traffic, hashed dedup, O(1) membership, buffer reuse, opt-in parallel
-//! stepping) must be *behaviour-preserving*. Three layers of evidence:
+//! traffic, hashed dedup, O(1) membership, buffer reuse, recipient-major
+//! delivery, parallel stepping) must be *behaviour-preserving*. Three layers of evidence:
 //!
 //! 1. re-running the recorded `BENCH_baseline.json` grid — every core protocol
 //!    family and the head-to-head baselines under their scripted adversaries —
@@ -9,8 +9,9 @@
 //! 2. the two protocols the baseline grid does not cover (total ordering and the
 //!    Dolev et al. approximate-agreement baseline) match counts measured on the
 //!    pre-rewrite engine (commit 229ef56), pinned here as constants;
-//! 3. the opt-in parallel node-step path produces reports identical to the
-//!    serial path for every protocol family.
+//! 3. the parallel node-step path (forced with `parallel_threshold(1)`)
+//!    produces reports identical to the pinned-serial path
+//!    (`parallel_threshold(usize::MAX)`) for every protocol family.
 
 use uba_baselines::{DolevApproxFactory, KnownRotorFactory, PhaseKingFactory, StBroadcastFactory};
 use uba_bench::baseline::baseline_file;
@@ -74,10 +75,7 @@ fn total_order_report(parallel: bool) -> RunReport {
         .max_rounds(100)
         .adversary(AdversaryKind::Worst)
         .total_order(plan);
-    if parallel {
-        harness = harness.parallel_stepping();
-        harness.engine_mut().set_parallel_node_threshold(1);
-    }
+    harness = harness.parallel_threshold(if parallel { 1 } else { usize::MAX });
     harness.run().expect("total-order run completes")
 }
 
@@ -89,10 +87,7 @@ fn dolev_approx_report(parallel: bool) -> RunReport {
         .ids(IdSpace::Consecutive)
         .seed(0)
         .build(DolevApproxFactory::new(inputs));
-    if parallel {
-        harness = harness.parallel_stepping();
-        harness.engine_mut().set_parallel_node_threshold(1);
-    }
+    harness = harness.parallel_threshold(if parallel { 1 } else { usize::MAX });
     harness.run().expect("dolev-approx run completes")
 }
 
@@ -129,10 +124,7 @@ fn parallel_stepping_reports_are_identical_for_every_protocol_family() {
                         .seed(42)
                         .adversary(AdversaryKind::SplitVote)
                         .consensus(&inputs);
-                    if parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
+                    harness = harness.parallel_threshold(if parallel { 1 } else { usize::MAX });
                     harness.run().unwrap()
                 }
             }),
@@ -147,10 +139,7 @@ fn parallel_stepping_reports_are_identical_for_every_protocol_family() {
                     .adversary(AdversaryKind::PartialAnnounce)
                     .broadcast(42)
                     .rounds(12);
-                if parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
+                harness = harness.parallel_threshold(if parallel { 1 } else { usize::MAX });
                 harness.run().unwrap()
             }),
         ),
@@ -163,10 +152,7 @@ fn parallel_stepping_reports_are_identical_for_every_protocol_family() {
                     .seed(44)
                     .adversary(AdversaryKind::AnnounceThenSilent)
                     .rotor();
-                if parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
+                harness = harness.parallel_threshold(if parallel { 1 } else { usize::MAX });
                 harness.run().unwrap()
             }),
         ),
@@ -181,10 +167,7 @@ fn parallel_stepping_reports_are_identical_for_every_protocol_family() {
                         .seed(45)
                         .adversary(AdversaryKind::Worst)
                         .approx(&approx_inputs);
-                    if parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
+                    harness = harness.parallel_threshold(if parallel { 1 } else { usize::MAX });
                     harness.run().unwrap()
                 }
             }),
@@ -201,10 +184,7 @@ fn parallel_stepping_reports_are_identical_for_every_protocol_family() {
                         .max_rounds(500)
                         .adversary(AdversaryKind::Worst)
                         .build(ParallelConsensusFactory::new(pairs.clone()));
-                    if parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
+                    harness = harness.parallel_threshold(if parallel { 1 } else { usize::MAX });
                     harness.run().unwrap()
                 }
             }),
@@ -223,10 +203,7 @@ fn parallel_stepping_reports_are_identical_for_every_protocol_family() {
                         .seed(0)
                         .max_rounds(300)
                         .build(PhaseKingFactory::new(inputs.clone()));
-                    if parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
+                    harness = harness.parallel_threshold(if parallel { 1 } else { usize::MAX });
                     harness.run().unwrap()
                 }
             }),
@@ -241,10 +218,7 @@ fn parallel_stepping_reports_are_identical_for_every_protocol_family() {
                     .seed(0)
                     .build(StBroadcastFactory::new(42))
                     .rounds(8);
-                if parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
+                harness = harness.parallel_threshold(if parallel { 1 } else { usize::MAX });
                 harness.run().unwrap()
             }),
         ),
@@ -258,10 +232,7 @@ fn parallel_stepping_reports_are_identical_for_every_protocol_family() {
                     .seed(0)
                     .max_rounds(100)
                     .build(KnownRotorFactory);
-                if parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
+                harness = harness.parallel_threshold(if parallel { 1 } else { usize::MAX });
                 harness.run().unwrap()
             }),
         ),

@@ -46,11 +46,10 @@ fn families() -> Vec<(&'static str, Build)> {
                     if let Some(engine) = engine {
                         $scenario = $scenario.engine(engine);
                     }
-                    let mut harness = $harness;
-                    if parallel {
-                        harness = harness.parallel_stepping().parallel_threshold(1);
-                    }
-                    harness.run().unwrap()
+                    $harness
+                        .parallel_threshold(if parallel { 1 } else { usize::MAX })
+                        .run()
+                        .unwrap()
                 }) as Build
             })
         };

@@ -3,7 +3,7 @@
 //! runs. Force-enabling recovery via [`Harness::enable_recovery`] on every
 //! protocol and baseline family — the same ten scenarios `engine_equivalence.rs`
 //! pins — must produce a `RunReport` equal in every field to the run without
-//! recovery, on the serial path, the opt-in parallel path, and the
+//! recovery, on the pinned-serial path, the forced-parallel path, and the
 //! discrete-event engine.
 //!
 //! This is the contract that lets `Harness::assemble` auto-enable recovery
@@ -50,10 +50,8 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                     if mode.recovery {
                         harness = harness.enable_recovery();
                     }
-                    if mode.parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
+                    harness =
+                        harness.parallel_threshold(if mode.parallel { 1 } else { usize::MAX });
                     harness.run().unwrap()
                 }
             }) as Build,
@@ -71,10 +69,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                 if mode.recovery {
                     harness = harness.enable_recovery();
                 }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
+                harness = harness.parallel_threshold(if mode.parallel { 1 } else { usize::MAX });
                 harness.run().unwrap()
             }),
         ),
@@ -90,10 +85,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                 if mode.recovery {
                     harness = harness.enable_recovery();
                 }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
+                harness = harness.parallel_threshold(if mode.parallel { 1 } else { usize::MAX });
                 harness.run().unwrap()
             }),
         ),
@@ -111,10 +103,8 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                     if mode.recovery {
                         harness = harness.enable_recovery();
                     }
-                    if mode.parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
+                    harness =
+                        harness.parallel_threshold(if mode.parallel { 1 } else { usize::MAX });
                     harness.run().unwrap()
                 }
             }),
@@ -134,10 +124,8 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                     if mode.recovery {
                         harness = harness.enable_recovery();
                     }
-                    if mode.parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
+                    harness =
+                        harness.parallel_threshold(if mode.parallel { 1 } else { usize::MAX });
                     harness.run().unwrap()
                 }
             }),
@@ -159,10 +147,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                 if mode.recovery {
                     harness = harness.enable_recovery();
                 }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
+                harness = harness.parallel_threshold(if mode.parallel { 1 } else { usize::MAX });
                 harness.run().unwrap()
             }),
         ),
@@ -181,10 +166,8 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                     if mode.recovery {
                         harness = harness.enable_recovery();
                     }
-                    if mode.parallel {
-                        harness = harness.parallel_stepping();
-                        harness.engine_mut().set_parallel_node_threshold(1);
-                    }
+                    harness =
+                        harness.parallel_threshold(if mode.parallel { 1 } else { usize::MAX });
                     harness.run().unwrap()
                 }
             }),
@@ -202,10 +185,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                 if mode.recovery {
                     harness = harness.enable_recovery();
                 }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
+                harness = harness.parallel_threshold(if mode.parallel { 1 } else { usize::MAX });
                 harness.run().unwrap()
             }),
         ),
@@ -222,10 +202,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                 if mode.recovery {
                     harness = harness.enable_recovery();
                 }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
+                harness = harness.parallel_threshold(if mode.parallel { 1 } else { usize::MAX });
                 harness.run().unwrap()
             }),
         ),
@@ -242,10 +219,7 @@ fn scenarios() -> Vec<(&'static str, Build)> {
                 if mode.recovery {
                     harness = harness.enable_recovery();
                 }
-                if mode.parallel {
-                    harness = harness.parallel_stepping();
-                    harness.engine_mut().set_parallel_node_threshold(1);
-                }
+                harness = harness.parallel_threshold(if mode.parallel { 1 } else { usize::MAX });
                 harness.run().unwrap()
             }),
         ),

@@ -61,13 +61,10 @@ fn broadcast_round_at_n_128_allocates_per_broadcast_not_per_recipient() {
         let config = EngineConfig {
             trace: true,
             trace_capacity: 1 << 20,
-            parallel_node_threshold: 1,
+            parallel_node_threshold: if parallel { 1 } else { usize::MAX },
             ..Default::default()
         };
         let mut engine = SyncEngine::with_config(nodes, SilentAdversary, vec![], config);
-        if parallel {
-            engine.enable_parallel_stepping();
-        }
 
         let before = shared::allocations();
         engine.run_rounds(ROUNDS).expect("flood rounds run");
